@@ -1,7 +1,8 @@
 """Bench: software search-backend throughput (supplementary).
 
 Not a paper figure — this measures the repository's own software
-backends (dense BLAS, packed XOR/popcount, batched dense) so regressions
+backends (dense BLAS, packed XOR/popcount) and the single-shard batched
+schedule (one blocked GEMM per charge bucket) so regressions
 in the hot path are caught, and the relative cost of the digital paths
 can be compared against the analytical model in ``accelerator/perf.py``.
 
@@ -18,7 +19,8 @@ from repro.hdc.encoder import SpectrumEncoder
 from repro.hdc.spaces import HDSpace, HDSpaceConfig
 from repro.ms.synthetic import WorkloadConfig, build_workload
 from repro.ms.vectorize import BinningConfig
-from repro.oms.batch import BatchedHDOmsSearcher
+from repro.engine import EngineConfig
+from repro.index import LibraryIndex, ShardedSearcher
 from repro.oms.search import DenseBackend, HDOmsSearcher, PackedBackend
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
@@ -70,10 +72,17 @@ def test_throughput_packed_backend(benchmark, throughput_setup):
     assert len(result.psms) > 0
 
 
-def test_throughput_batched_searcher(benchmark, throughput_setup):
+def test_throughput_single_shard_searcher(benchmark, throughput_setup):
     workload, encoder = throughput_setup
-    searcher = BatchedHDOmsSearcher(encoder, workload.references)
-    result = benchmark.pedantic(
-        searcher.search, args=(workload.queries,), rounds=2, iterations=1
+    index = LibraryIndex.build(
+        workload.references,
+        space_config=encoder.space.config,
+        binning=encoder.binning,
     )
+    with ShardedSearcher(
+        index, engine=EngineConfig(kind="sharded", num_shards=1, num_workers=0)
+    ) as searcher:
+        result = benchmark.pedantic(
+            searcher.search, args=(workload.queries,), rounds=2, iterations=1
+        )
     assert len(result.psms) > 0

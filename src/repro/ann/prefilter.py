@@ -47,7 +47,7 @@ class PrefilterSelection:
             (precursor mass, library position) exactly like the
             brute-force candidate window.
         ranks: The same rows as local ranks into the per-charge
-            mass-sorted bucket (what batched searchers index their
+            mass-sorted bucket (what the shard scorer indexes its
             bucket matrices with).
         window_count: Rows the full precursor window holds; this is the
             number ``min_candidates`` gates compare against, regardless

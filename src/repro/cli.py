@@ -140,12 +140,7 @@ def _ann_config_from_args(args):
     return AnnConfig(**{key: value for key, (_, value) in given.items()})
 
 
-def add_engine_args(
-    parser,
-    *,
-    workers_default: Optional[int] = None,
-    include_engine: bool = False,
-) -> None:
+def add_engine_args(parser, *, workers_default: Optional[int] = None) -> None:
     """The shared engine flag group (index search/append/merge, serve, profile).
 
     One definition feeds every entry point so the flags cannot drift
@@ -156,22 +151,10 @@ def add_engine_args(
         parser: The subcommand parser to extend.
         workers_default: Default ``--workers`` (``0`` = in-process,
             ``None`` = auto-size to the shard/segment count).
-        include_engine: Also expose ``--engine`` (the service is the
-            only consumer that lets users pin the engine family).
     """
     group = parser.add_argument_group(
         "engine", "execution knobs shared by every search entry point"
     )
-    if include_engine:
-        group.add_argument(
-            "--engine",
-            choices=("auto", "batched", "sharded", "segmented"),
-            default="auto",
-            help=(
-                "engine family (auto = batched dense when possible, "
-                "segmented for store directories)"
-            ),
-        )
     group.add_argument(
         "--shards", type=int, default=1, help="library partitions to score"
     )
@@ -220,7 +203,6 @@ def engine_config_from_args(args, ann=None):
     from .engine import EngineConfig
 
     return EngineConfig(
-        kind=getattr(args, "engine", "auto"),
         backend=args.backend,
         num_shards=args.shards,
         num_workers=args.workers,
@@ -488,7 +470,7 @@ def _add_serve_parser(subparsers) -> None:
         default=1024,
         help="LRU result-cache capacity (0 disables caching)",
     )
-    add_engine_args(parser, workers_default=0, include_engine=True)
+    add_engine_args(parser, workers_default=0)
     parser.add_argument(
         "--mode", choices=("open", "standard", "cascade"), default="open"
     )
@@ -1344,7 +1326,7 @@ def cmd_serve(args) -> int:
     from .obs.slowlog import DEFAULT_SLOW_MS
     from .obs.trace import DEFAULT_CAPACITY
 
-    # Bad flag combinations (e.g. batched engine + cascade mode) and
+    # Bad flag combinations (e.g. --shards 0) and
     # unreadable index files are usage errors, not crashes; failures
     # after startup keep their tracebacks.
     try:

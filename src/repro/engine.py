@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from .ann import AnnConfig
 
 #: The engine families a config can request.  ``auto`` defers the
-#: choice to the consumer (the service picks ``batched`` for trivially
-#: serial configs, ``segmented`` for manifest-backed stores, and
-#: ``sharded`` otherwise).
-ENGINE_KINDS = ("auto", "batched", "sharded", "segmented")
+#: choice to the consumer (the service picks ``segmented`` for
+#: manifest-backed stores and ``sharded`` otherwise).
+ENGINE_KINDS = ("auto", "sharded", "segmented")
 
 #: The supported parallel execution modes.
 EXECUTOR_KINDS = ("process", "thread")
@@ -40,9 +39,8 @@ class EngineConfig:
     Attributes:
         kind: Engine family — one of :data:`ENGINE_KINDS`.  ``auto``
             lets the consumer pick.
-        backend: ``"dense"``, ``"packed"``, or a picklable
-            zero-argument factory returning a
-            :class:`~repro.oms.search.SimilarityBackend`.
+        backend: ``"dense"`` (float32 GEMM) or ``"packed"``
+            (XOR/popcount).
         num_shards: Contiguous row partitions per index (each becomes
             one scoring task per query micro-batch).
         num_workers: Worker count; ``None`` auto-sizes to
@@ -61,7 +59,7 @@ class EngineConfig:
     """
 
     kind: str = "auto"
-    backend: Union[str, Callable] = "dense"
+    backend: str = "dense"
     num_shards: int = 1
     num_workers: Optional[int] = 0
     executor: str = "process"
@@ -74,10 +72,9 @@ class EngineConfig:
             raise ValueError(
                 f"unknown engine kind {self.kind!r}; expected one of {ENGINE_KINDS}"
             )
-        if not callable(self.backend) and self.backend not in ("dense", "packed"):
+        if self.backend not in ("dense", "packed"):
             raise ValueError(
-                f"unknown backend {self.backend!r}; expected 'dense', 'packed', "
-                "or a backend factory"
+                f"unknown backend {self.backend!r}; expected 'dense' or 'packed'"
             )
         if self.num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
@@ -99,13 +96,6 @@ class EngineConfig:
                 f"pipeline_batch must be >= 1, got {self.pipeline_batch}"
             )
 
-    @property
-    def backend_label(self) -> str:
-        """Human-readable backend name (factories report ``__name__``)."""
-        if isinstance(self.backend, str):
-            return self.backend
-        return getattr(self.backend, "__name__", "custom")
-
     def replace(self, **changes) -> "EngineConfig":
         """Return a copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
@@ -114,7 +104,7 @@ class EngineConfig:
         """JSON-safe view of the fully resolved config (for ``/stats``)."""
         return {
             "kind": self.kind,
-            "backend": self.backend_label,
+            "backend": self.backend,
             "num_shards": self.num_shards,
             "num_workers": self.num_workers,
             "executor": self.executor,
@@ -126,13 +116,13 @@ class EngineConfig:
     def build_backend(self):
         """Instantiate the similarity backend this config names.
 
-        Applies ``score_block_rows`` when the backend supports tiling.
+        Applies ``score_block_rows`` when set.
         Imported lazily to keep :mod:`repro.engine` dependency-free at
         import time.
         """
         from .exec.scorer import resolve_backend
 
         backend = resolve_backend(self.backend)()
-        if self.score_block_rows is not None and hasattr(backend, "set_block_rows"):
+        if self.score_block_rows is not None:
             backend.set_block_rows(self.score_block_rows)
         return backend

@@ -11,9 +11,9 @@ for GPUs and ANN-SoLo makes for its on-disk ANN index).
 
 :class:`ShardedSearcher` consumes a loaded index, partitions it into N
 row shards, and fans query batches across a ``multiprocessing`` pool;
-workers score their shard through the existing
-:class:`~repro.oms.search.SimilarityBackend` protocol and the parent
-merges per-query bests.  Results are bit-identical to
+workers score their shard with
+:class:`~repro.exec.scorer.ShardScorer` (one blocked GEMM per charge
+bucket and batch) and the parent merges per-query bests.  Results are bit-identical to
 :class:`~repro.oms.search.HDOmsSearcher`.
 """
 

@@ -4,7 +4,7 @@ A :class:`LibraryIndex` is the on-disk unit of the build-once /
 search-many workflow:
 
 * hypervectors are encoded in chunks, one precursor-charge bucket at a
-  time (mirroring how the batched searcher and the accelerator schedule
+  time (mirroring how the scorer and the accelerator schedule
   the library), then *bit-packed* with the same
   :func:`~repro.hdc.packing.pack_bipolar` layout the digital search path
   uses — 8x smaller on disk than the int8 bipolar matrix;

@@ -3,8 +3,9 @@
 The index rows are partitioned into N contiguous shards; each query
 micro-batch is encoded once in the parent and fanned out to an
 executor from :mod:`repro.exec`, where workers score their shard
-through the existing :class:`~repro.oms.search.SimilarityBackend`
-protocol.  The parent merges per-query shard winners with the exact
+with :class:`~repro.exec.scorer.ShardScorer` (one blocked GEMM per
+charge bucket and batch).  The parent merges per-query shard winners
+(:class:`~repro.oms.loop.MicroBatchSearchMixin`) with the exact
 tie-break the single-process searcher applies (highest score, then
 lowest precursor mass, then lowest library position), so results are
 **bit-identical** to :class:`~repro.oms.search.HDOmsSearcher` for every
@@ -27,7 +28,7 @@ import dataclasses
 import os
 import time
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,15 +38,13 @@ from ..engine import EXECUTOR_KINDS as EXECUTOR_KINDS
 from ..engine import EngineConfig
 from ..exec.arena import SharedShardArena
 from ..exec.pool import ProcessShardExecutor, ThreadShardExecutor
-from ..exec.scorer import ShardScorer, resolve_backend, shard_payload
+from ..exec.scorer import ShardScorer, shard_payload
 from ..hdc.noise import flip_bits
 from ..hdc.packing import pack_bipolar
 from ..ms.preprocessing import PreprocessingConfig
-from ..ms.spectrum import Spectrum
 from ..obs.trace import get_tracer
 from ..oms.candidates import WindowConfig
 from ..oms.loop import MicroBatchSearchMixin
-from ..oms.psm import PSM
 from ..oms.search import ENCODE_BLOCK_SIZE, HDSearchConfig
 from .library import LibraryIndex
 
@@ -132,9 +131,7 @@ class ShardedSearcher(MicroBatchSearchMixin):
         entirely (shards are scored serially in-process — handy for
         tests and tiny workloads).
     backend:
-        *Deprecated — use* ``engine``.  ``"dense"``, ``"packed"``, or a
-        picklable zero-argument factory returning a
-        :class:`~repro.oms.search.SimilarityBackend`.
+        *Deprecated — use* ``engine``.  ``"dense"`` or ``"packed"``.
     executor:
         *Deprecated — use* ``engine``.  ``"process"`` (default; a
         multiprocessing pool reattaching the shared arena by name) or
@@ -173,7 +170,7 @@ class ShardedSearcher(MicroBatchSearchMixin):
         preprocessing: Optional[PreprocessingConfig] = None,
         windows: Optional[WindowConfig] = None,
         config: Optional[HDSearchConfig] = None,
-        backend: Union[str, Callable] = _UNSET,
+        backend: str = _UNSET,
         num_workers: Optional[int] = _UNSET,
         encoder=None,
         executor: str = _UNSET,
@@ -205,7 +202,6 @@ class ShardedSearcher(MicroBatchSearchMixin):
             )
         if encoder is not None:
             index.validate(encoder.space.config, encoder.binning)
-        resolve_backend(engine.backend)  # fail fast on bad factories
         self.index = index
         self.engine = engine
         self.num_shards = engine.num_shards
@@ -214,7 +210,6 @@ class ShardedSearcher(MicroBatchSearchMixin):
         self.windows = windows or WindowConfig()
         self.config = config
         self._backend = engine.backend
-        self._backend_label = engine.backend_label
         self._noise_rng = np.random.default_rng(self.config.noise_seed)
         num_workers = engine.num_workers
         if num_workers is None:
@@ -361,7 +356,7 @@ class ShardedSearcher(MicroBatchSearchMixin):
     def backend_name(self) -> str:
         """Human-readable engine label (feeds logs and search results)."""
         suffix = "+ann" if self.config.ann is not None else ""
-        return f"sharded-{self._backend_label}x{self.num_shards}{suffix}"
+        return f"sharded-{self._backend}x{self.num_shards}{suffix}"
 
     @property
     def executor_kind(self) -> str:
@@ -373,7 +368,7 @@ class ShardedSearcher(MicroBatchSearchMixin):
         """Shared-memory bytes backing the shards (0 in serial mode)."""
         return self._arena.nbytes if self._arena is not None else 0
 
-    def _score_all_shards(
+    def _score_partitions(
         self,
         query_hvs: np.ndarray,
         query_masses: np.ndarray,
@@ -412,65 +407,9 @@ class ShardedSearcher(MicroBatchSearchMixin):
         by_shard = {result[0]: result[2:] for result in raw}
         return [by_shard[shard_id] for shard_id in range(self.num_shards)]
 
-    def _run_pass(
-        self,
-        pairs: Sequence[Tuple[Spectrum, np.ndarray]],
-        mode: str,
-    ) -> List[Optional[PSM]]:
-        """One windowed scoring pass over already-encoded queries."""
-        query_hvs = np.stack([hv for _, hv in pairs])
-        query_masses = np.array([q.neutral_mass for q, _ in pairs])
-        query_charges = np.array(
-            [q.precursor_charge for q, _ in pairs], dtype=np.int64
-        )
-        half_width = (
-            self.windows.standard_tolerance_da
-            if mode == "standard"
-            else self.windows.open_window_da
-        )
-        per_shard = self._score_all_shards(
-            query_hvs, query_masses, query_charges, half_width
-        )
-        if self.ann_stats is not None:
-            # Shard workers pre-aggregate their outcome counts; one
-            # merge per shard keeps stats cheap across the process
-            # boundary.  Counts are per (query, shard) pair.
-            for shard in per_shard:
-                self.ann_stats.record_batch(
-                    shard[4], int(shard[0].sum()), int(shard[5][0])
-                )
-        counts = np.stack([shard[0] for shard in per_shard])
-        scores = np.stack([shard[1] for shard in per_shard])
-        masses = np.stack([shard[2] for shard in per_shard])
-        positions = np.stack([shard[3] for shard in per_shard])
-        totals = counts.sum(axis=0)
-        # Winner per query: max score, ties to lowest reference mass,
-        # then lowest library position — exactly HDOmsSearcher's argmax
-        # over its mass-sorted candidate window.
-        winner = np.lexsort((positions, masses, -scores), axis=0)[0]
-
-        results: List[Optional[PSM]] = []
-        for column, (query, _hv) in enumerate(pairs):
-            if totals[column] == 0 or totals[column] < self.config.min_candidates:
-                results.append(None)
-                continue
-            shard = int(winner[column])
-            reference = self.references[int(positions[shard, column])]
-            results.append(
-                PSM(
-                    query_id=query.identifier,
-                    reference_id=reference.identifier,
-                    peptide_key=reference.peptide_key(),
-                    score=float(scores[shard, column]),
-                    is_decoy=reference.is_decoy,
-                    precursor_mass_difference=query.neutral_mass
-                    - reference.neutral_mass,
-                    mode=mode,
-                    reference_mass=float(reference.neutral_mass),
-                    library_position=int(positions[shard, column]),
-                )
-            )
-        return results
+    def _reference(self, position: int):
+        """The library record at global row ``position``."""
+        return self.references[position]
 
 
 def _score_serial(searcher: ShardedSearcher, task: Tuple) -> Tuple:

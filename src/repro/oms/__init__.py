@@ -21,7 +21,6 @@ from .pipeline import (
     PipelineResult,
     decoy_factory_for,
 )
-from .batch import BatchedHDOmsSearcher
 from .modification_analysis import (
     DeltaMassPeak,
     ModificationReport,
@@ -49,7 +48,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "decoy_factory_for",
-    "BatchedHDOmsSearcher",
     "DeltaMassPeak",
     "ModificationReport",
     "analyze_modifications",

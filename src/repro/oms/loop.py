@@ -5,10 +5,12 @@ the fan-out searchers (:class:`~repro.index.sharded.ShardedSearcher`,
 :class:`~repro.store.search.SegmentedSearcher`): queries are
 preprocessed and encoded in micro-batches on a producer thread running
 one stage ahead of scoring, BER noise injection stays in the consumer
-in arrival order, and cascade mode retries unmatched queries through
-the open pass.  Hosts provide the fan-out itself via ``_run_pass`` plus
-the ``preprocessing`` / ``encoder`` / ``config`` / ``_noise_rng`` /
-``_pipeline_batch`` / ``backend_name`` attributes.
+in arrival order, cascade mode retries unmatched queries through the
+open pass, and one exact merge turns per-partition winners into PSMs.
+Hosts provide the fan-out itself via ``_score_partitions`` and
+``_reference`` plus the ``preprocessing`` / ``encoder`` / ``config`` /
+``windows`` / ``ann_stats`` / ``_noise_rng`` / ``_pipeline_batch`` /
+``backend_name`` attributes.
 """
 
 from __future__ import annotations
@@ -29,11 +31,74 @@ from .search import encode_queries
 class MicroBatchSearchMixin:
     """Pipelined query loop shared by the fan-out searchers.
 
-    Subclasses implement ``_run_pass(pairs, mode)`` — one windowed
-    scoring pass over already-encoded ``(query, hypervector)`` pairs —
-    and the mixin supplies batching, pipelining, noise injection, and
-    cascade retry on top.
+    Subclasses implement ``_score_partitions`` — every partition's
+    :meth:`~repro.exec.scorer.ShardScorer.score_batch` result for one
+    batch — and ``_reference(position)``; the mixin supplies batching,
+    pipelining, noise injection, cascade retry, and the winner merge.
     """
+
+    def _run_pass(
+        self,
+        pairs: Sequence[Tuple[Spectrum, np.ndarray]],
+        mode: str,
+    ) -> List[Optional[PSM]]:
+        """One windowed scoring pass over already-encoded queries."""
+        query_hvs = np.stack([hv for _, hv in pairs])
+        query_masses = np.array([q.neutral_mass for q, _ in pairs])
+        query_charges = np.array(
+            [q.precursor_charge for q, _ in pairs], dtype=np.int64
+        )
+        half_width = (
+            self.windows.standard_tolerance_da
+            if mode == "standard"
+            else self.windows.open_window_da
+        )
+        partials = self._score_partitions(
+            query_hvs, query_masses, query_charges, half_width
+        )
+        if not partials:
+            return [None] * len(pairs)
+        if self.ann_stats is not None:
+            # Partitions pre-aggregate their outcome counts; one merge
+            # per partition keeps stats cheap across process boundaries.
+            # Counts are per (query, partition) pair.
+            for partial in partials:
+                self.ann_stats.record_batch(
+                    partial[4], int(partial[0].sum()), int(partial[5][0])
+                )
+        counts, scores, masses, positions = (
+            np.stack([partial[field] for partial in partials])
+            for field in range(4)
+        )
+        totals = counts.sum(axis=0)
+        # Winner per query: max score, ties to lowest reference mass,
+        # then lowest library position — exactly HDOmsSearcher's argmax
+        # over its mass-sorted candidate window.
+        winner = np.lexsort((positions, masses, -scores), axis=0)[0]
+
+        results: List[Optional[PSM]] = []
+        for column, (query, _hv) in enumerate(pairs):
+            if totals[column] == 0 or totals[column] < self.config.min_candidates:
+                results.append(None)
+                continue
+            row = int(winner[column])
+            position = int(positions[row, column])
+            reference = self._reference(position)
+            results.append(
+                PSM(
+                    query_id=query.identifier,
+                    reference_id=reference.identifier,
+                    peptide_key=reference.peptide_key(),
+                    score=float(scores[row, column]),
+                    is_decoy=reference.is_decoy,
+                    precursor_mass_difference=query.neutral_mass
+                    - reference.neutral_mass,
+                    mode=mode,
+                    reference_mass=float(reference.neutral_mass),
+                    library_position=position,
+                )
+            )
+        return results
 
     def _search_batch(
         self, survivors: Sequence[Tuple[Spectrum, np.ndarray]]

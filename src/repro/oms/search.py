@@ -23,7 +23,7 @@ import numpy as np
 from ..ann import AnnConfig, AnnStats, CandidatePrefilter, HammingLSHIndex
 from ..hdc.encoder import SpectrumEncoder
 from ..hdc.noise import flip_bits
-from ..hdc.packing import pack_bipolar
+from ..hdc.packing import pack_bipolar, unpack_bipolar
 from ..hdc.similarity import packed_dot_scores
 from ..ms.preprocessing import PreprocessingConfig, preprocess
 from ..ms.spectrum import Spectrum
@@ -47,6 +47,10 @@ SCORE_BLOCK_BYTES = 4 << 20
 #: Never tile below this many rows — tiny blocks would turn one BLAS
 #: call into a Python-loop of degenerate kernels.
 MIN_SCORE_BLOCK_ROWS = 256
+
+
+#: Rows unpacked per step when a dense backend adopts packed rows.
+PREPARE_CHUNK_ROWS = 1024
 
 
 def _auto_block_rows(row_bytes: int) -> int:
@@ -90,12 +94,13 @@ class SimilarityBackend(Protocol):
 
 
 class DenseBackend:
-    """Exact similarity via BLAS matmul on the int8 reference matrix.
+    """Exact similarity via BLAS matmul on the float32 reference matrix.
 
-    ``block_rows`` tiles the gather path: ``None`` (default) derives a
-    block from :data:`SCORE_BLOCK_BYTES` so the gathered row copy stays
-    cache-resident, ``0`` disables tiling, any positive value is used
-    as-is.  Tiling never changes results — float32 accumulation of
+    ``block_rows`` tiles the gather path and sets the column blocks the
+    shard scorer hands to :meth:`score_slice`: ``None`` (default)
+    derives a block from :data:`SCORE_BLOCK_BYTES` so the touched rows
+    stay cache-resident, ``0`` disables tiling, any positive value is
+    used as-is.  Tiling never changes results — float32 accumulation of
     integer dot products below 2^24 is exact in any order.
     """
 
@@ -109,7 +114,9 @@ class DenseBackend:
         """Override the scoring block size (``None`` = auto, ``0`` = off)."""
         self._block_rows = block_rows
 
-    def _resolved_block_rows(self) -> int:
+    @property
+    def block_rows(self) -> int:
+        """Resolved rows per scoring block (``0`` = untiled)."""
         if self._block_rows is None:
             return _auto_block_rows(self._refs.shape[1] * 4)
         return self._block_rows
@@ -117,6 +124,31 @@ class DenseBackend:
     def prepare(self, reference_hvs: np.ndarray) -> None:
         """Stage the reference matrix for repeated scoring."""
         self._refs = reference_hvs.astype(np.float32)
+
+    def prepare_packed(self, packed: np.ndarray, dim: int) -> None:
+        """Stage the float32 matrix straight from ``pack_bipolar`` rows.
+
+        Unpacks in row chunks, so set-up holds the float32 matrix plus
+        one chunk's temporaries instead of a whole int8 copy beside it.
+        """
+        packed = np.asarray(packed)
+        self._refs = np.empty((packed.shape[0], dim), dtype=np.float32)
+        for start in range(0, packed.shape[0], PREPARE_CHUNK_ROWS):
+            stop = start + PREPARE_CHUNK_ROWS
+            self._refs[start:stop] = unpack_bipolar(packed[start:stop], dim)
+
+    def score_slice(
+        self, query_hvs: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
+        """One float32 GEMM of the queries against rows ``[start, stop)``.
+
+        The row slice is a view, so no reference row is copied; integer
+        dot products below 2^24 are exact in float32.
+        """
+        if self._refs is None:
+            raise RuntimeError("backend not prepared")
+        queries = np.asarray(query_hvs, dtype=np.float32)
+        return queries @ self._refs[start:stop].T
 
     def scores(self, query_hv: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Similarity scores of ``query_hv`` against rows at ``positions``."""
@@ -130,7 +162,7 @@ class DenseBackend:
             # fancy-index gather copy.  Exact for any positions order —
             # (refs @ q)[positions][i] == refs[positions[i]] @ q.
             return (self._refs @ query).astype(np.int32)[positions]
-        block = self._resolved_block_rows()
+        block = self.block_rows
         if block and len(positions) > block:
             # Tile the gather: each block's (block, dim) float32 copy
             # fits the cache budget instead of materialising the whole
@@ -166,7 +198,9 @@ class PackedBackend:
         """Override the scoring block size (``None`` = auto, ``0`` = off)."""
         self._block_rows = block_rows
 
-    def _resolved_block_rows(self) -> int:
+    @property
+    def block_rows(self) -> int:
+        """Resolved rows per scoring block (``0`` = untiled)."""
         if self._block_rows is None:
             return _auto_block_rows(self._packed.shape[1])
         return self._block_rows
@@ -185,12 +219,30 @@ class PackedBackend:
         self._dim = dim
         self._packed = np.asarray(packed)
 
+    def score_slice(
+        self, query_hvs: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
+        """XOR/popcount scores of each query against rows ``[start, stop)``.
+
+        Loops over the queries; every query reads the same contiguous
+        packed slice, so no row is gathered.
+        """
+        if self._packed is None:
+            raise RuntimeError("backend not prepared")
+        rows = self._packed[start:stop]
+        return np.stack(
+            [
+                packed_dot_scores(rows, packed_query, self._dim)
+                for packed_query in pack_bipolar(query_hvs)
+            ]
+        )
+
     def scores(self, query_hv: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Similarity scores of ``query_hv`` against rows at ``positions``."""
         if self._packed is None:
             raise RuntimeError("backend not prepared")
         packed_query = pack_bipolar(query_hv[np.newaxis, :])[0]
-        block = self._resolved_block_rows()
+        block = self.block_rows
         if len(positions) == self._packed.shape[0]:
             # Full-coverage fast path, mirroring DenseBackend: score the
             # contiguous prepared matrix and reorder the (n,) result —

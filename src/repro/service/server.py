@@ -68,7 +68,6 @@ from ..obs.export import chrome_trace
 from ..obs.logging import ensure_default_logging
 from ..obs.slowlog import DEFAULT_SLOW_MS, SlowQueryLog, stage_breakdown
 from ..obs.trace import DEFAULT_CAPACITY, get_tracer, new_request_id
-from ..oms.batch import BatchedHDOmsSearcher
 from ..oms.candidates import WindowConfig
 from ..oms.psm import PSM
 from ..oms.search import HDSearchConfig
@@ -108,14 +107,13 @@ class ServiceConfig:
 
     Engine construction is configured by ``engine_config`` (an
     :class:`~repro.engine.EngineConfig`); its ``kind="auto"`` picks the
-    dense batched searcher (one matmul per charge bucket — the fastest
-    schedule for coalesced micro-batches) whenever the configuration
-    allows it, the segmented searcher for manifest-backed stores, and
-    the sharded searcher otherwise — every engine choice over the same
-    index rows returns bit-identical PSMs.  The individual engine
-    fields (``engine``, ``num_shards``, ``num_workers``, ``backend``,
-    ``executor``, ``score_block_rows``) remain as deprecated shims and
-    may not be combined with ``engine_config``.
+    segmented searcher for manifest-backed stores and the sharded
+    searcher (by default one shard scored in-process) otherwise — every
+    engine choice over the same index rows returns bit-identical PSMs.
+    The individual engine fields (``engine``, ``num_shards``,
+    ``num_workers``, ``backend``, ``executor``, ``score_block_rows``)
+    remain as deprecated shims and may not be combined with
+    ``engine_config``.
 
     ``ann`` (optional :class:`~repro.ann.AnnConfig`) turns on the
     Hamming-LSH candidate prefilter for this route's engine; results
@@ -208,26 +206,9 @@ class ServiceConfig:
         # EngineConfig validates the execution knobs (kind, backend,
         # worker counts, executor, tiling); re-raised here so a bad
         # config fails at construction, not on the first search.
-        resolved = self.resolved_engine()
+        self.resolved_engine()
         if self.mode not in ("open", "standard", "cascade"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if resolved.kind == "batched" and self.mode == "cascade":
-            raise ValueError("the batched engine does not support cascade mode")
-        if resolved.kind == "batched" and resolved.backend_label != "dense":
-            raise ValueError(
-                f"the batched engine is dense-only; use engine='sharded' "
-                f"for backend {resolved.backend_label!r}"
-            )
-        if resolved.kind == "batched" and resolved.num_shards != 1:
-            raise ValueError(
-                "the batched engine does not shard; use engine='sharded' "
-                f"for num_shards={resolved.num_shards}"
-            )
-        if resolved.kind == "batched" and resolved.num_workers != 0:
-            raise ValueError(
-                "the batched engine runs in-process; use engine='sharded' "
-                f"for num_workers={resolved.num_workers}"
-            )
 
     def windows(self) -> WindowConfig:
         """The precursor-window config the engines search with."""
@@ -359,19 +340,7 @@ class SearchService:
                     "store, not a monolithic index"
                 )
             return resolved.kind
-        if segmented:
-            return "segmented"
-        if (
-            config.mode in ("open", "standard")
-            and resolved.num_shards == 1
-            and resolved.backend_label == "dense"
-            # Asking for workers (N > 0, or None = one per CPU) is an
-            # explicit request for the process pool — honour it rather
-            # than silently serving in-process.
-            and resolved.num_workers == 0
-        ):
-            return "batched"
-        return "sharded"
+        return "segmented" if segmented else "sharded"
 
     def _build_engine(
         self,
@@ -382,36 +351,15 @@ class SearchService:
         config = config or self.config
         windows = config.windows()
         search_config = config.search_config()
-        engine_config = config.resolved_engine()
         kind = self._engine_kind(config, index)
-        if kind == "batched":
-            engine = BatchedHDOmsSearcher.from_index(
-                index,
-                windows=windows,
-                mode=config.mode,
-                engine=engine_config,
-            )
-            label = (
-                "batched-dense+ann"
-                if engine_config.ann is not None
-                else "batched-dense"
-            )
-        elif kind == "segmented":
-            engine = SegmentedSearcher(
-                index,
-                windows=windows,
-                config=search_config,
-                engine=engine_config.replace(kind="segmented"),
-            )
-            label = engine.backend_name
-        else:
-            engine = ShardedSearcher(
-                index,
-                windows=windows,
-                config=search_config,
-                engine=engine_config.replace(kind="sharded"),
-            )
-            label = engine.backend_name
+        searcher = SegmentedSearcher if kind == "segmented" else ShardedSearcher
+        engine = searcher(
+            index,
+            windows=windows,
+            config=search_config,
+            engine=config.resolved_engine().replace(kind=kind),
+        )
+        label = engine.backend_name
         fingerprint = config_fingerprint(
             index.provenance(), windows, search_config, label
         )
@@ -450,7 +398,7 @@ class SearchService:
             # Cumulative engine counters, captured while no other batch
             # can run: successive snapshots of one generation are
             # monotone, so per-batch deltas are well defined.
-            ann_stats = getattr(self._engine, "ann_stats", None)
+            ann_stats = self._engine.ann_stats
             ann_snapshot = (
                 ann_stats.snapshot() if ann_stats is not None else None
             )
@@ -644,8 +592,7 @@ class SearchService:
         # forever — an unbounded wait here would park the /reload
         # handler thread and hang server_close() at shutdown.
         if not self._engine_lock.acquire(timeout=ENGINE_SWAP_TIMEOUT):
-            if hasattr(new_engine, "close"):
-                new_engine.close()
+            new_engine.close()
             raise RuntimeError(
                 "reload timed out waiting for the in-flight batch "
                 f"({ENGINE_SWAP_TIMEOUT}s); is the engine wedged?"
@@ -677,14 +624,12 @@ class SearchService:
         finally:
             self._engine_lock.release()
         if aborted_engine is not None:
-            if hasattr(aborted_engine, "close"):
-                aborted_engine.close()
+            aborted_engine.close()
             raise RuntimeError("service is closed")
         with self._stats_lock:
             self._reloads += 1
         self._route_metrics.observe_reload()
-        if hasattr(old_engine, "close"):
-            old_engine.close()
+        old_engine.close()
         if isinstance(old_index, SegmentedStore) and old_index is not new_index:
             old_index.close()
         logger.info(
@@ -714,7 +659,7 @@ class SearchService:
             ann: Optional explicit config when enabling.
 
         Returns:
-            The new engine label (e.g. ``"batched-dense+ann"``).
+            The new engine label (e.g. ``"sharded-densex1+ann"``).
 
         Raises:
             RuntimeError: If the service is closed or the in-flight
@@ -731,8 +676,7 @@ class SearchService:
             index, config=new_config
         )
         if not self._engine_lock.acquire(timeout=ENGINE_SWAP_TIMEOUT):
-            if hasattr(new_engine, "close"):
-                new_engine.close()
+            new_engine.close()
             raise RuntimeError(
                 "ANN toggle timed out waiting for the in-flight batch "
                 f"({ENGINE_SWAP_TIMEOUT}s); is the engine wedged?"
@@ -755,14 +699,12 @@ class SearchService:
         finally:
             self._engine_lock.release()
         if aborted_engine is not None:
-            if hasattr(aborted_engine, "close"):
-                aborted_engine.close()
+            aborted_engine.close()
             raise RuntimeError("service is closed")
         with self._stats_lock:
             self._reloads += 1
         self._route_metrics.observe_reload()
-        if hasattr(old_engine, "close"):
-            old_engine.close()
+        old_engine.close()
         logger.info(
             "route %s ANN prefilter %s (engine=%s)",
             self.route,
@@ -796,7 +738,7 @@ class SearchService:
         """The ANN block of :meth:`stats` (present even when disabled)."""
         with self._swap_lock:
             engine = self._engine
-        ann_stats = getattr(engine, "ann_stats", None)
+        ann_stats = engine.ann_stats
         if ann_stats is None:
             return {"enabled": False}
         section: Dict[str, object] = {"enabled": True}
@@ -839,8 +781,8 @@ class SearchService:
                 "num_references": self.index.num_references,
                 "max_batch": self.config.max_batch,
                 "max_wait_ms": self.config.max_wait_ms,
-                "executor": getattr(self._engine, "executor_kind", "inline"),
-                "arena_bytes": int(getattr(self._engine, "arena_nbytes", 0)),
+                "executor": self._engine.executor_kind,
+                "arena_bytes": int(self._engine.arena_nbytes),
                 "config": self.config.resolved_engine().to_dict(),
                 "ann": self._ann_section(),
             },
@@ -872,8 +814,7 @@ class SearchService:
         self.scheduler.close(drain=True, timeout=timeout)
         with self._swap_lock:
             engine = self._engine
-        if hasattr(engine, "close"):
-            engine.close()
+        engine.close()
         if self.index_path is not None and isinstance(self.index, SegmentedStore):
             # The service opened this store itself (path source), so it
             # owns the mmap'd segment cache; caller-provided stores are

@@ -1,8 +1,10 @@
 """Window-pruned search over a :class:`~repro.store.store.SegmentedStore`.
 
-Mirrors :class:`~repro.index.sharded.ShardedSearcher`'s pipeline —
+Shares :class:`~repro.index.sharded.ShardedSearcher`'s pipeline —
 micro-batched encode one stage ahead, exact lexsort winner merge, the
-same ANN bookkeeping — but the unit of fan-out is a manifest segment
+same ANN bookkeeping, all in
+:class:`~repro.oms.loop.MicroBatchSearchMixin` — but the unit of
+fan-out is a manifest segment
 instead of a row-range shard, and segments are strictly lazy: a
 scoring pass computes the batch's precursor-mass interval (widened by
 the active window half-width) and only segments whose recorded mass
@@ -29,21 +31,19 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..ann import AnnStats, HammingLSHIndex
 from ..engine import EngineConfig
 from ..exec.arena import SharedShardArena
-from ..exec.scorer import ShardScorer, resolve_backend, shard_payload
+from ..exec.scorer import ShardScorer, shard_payload
 from ..index.library import IndexCompatibilityError, ReferenceRecord
 from ..ms.preprocessing import PreprocessingConfig
-from ..ms.spectrum import Spectrum
 from ..obs.trace import get_tracer
 from ..oms.candidates import WindowConfig
 from ..oms.loop import MicroBatchSearchMixin
-from ..oms.psm import PSM
 from ..oms.search import ENCODE_BLOCK_SIZE, HDSearchConfig
 from .store import SegmentedStore
 
@@ -85,7 +85,6 @@ class SegmentedSearcher(MicroBatchSearchMixin):
             raise ValueError(
                 f"SegmentedSearcher cannot host engine kind {engine.kind!r}"
             )
-        resolve_backend(engine.backend)  # fail fast on bad factories
         config = config or HDSearchConfig()
         if engine.ann is not None and engine.ann != config.ann:
             if config.ann is not None:
@@ -111,7 +110,6 @@ class SegmentedSearcher(MicroBatchSearchMixin):
         self.windows = windows or WindowConfig()
         self.config = config
         self._backend = engine.backend
-        self._backend_label = engine.backend_label
         self._noise_rng = np.random.default_rng(config.noise_seed)
         num_workers = engine.num_workers
         if num_workers is None:
@@ -256,7 +254,7 @@ class SegmentedSearcher(MicroBatchSearchMixin):
         """Human-readable engine label (feeds logs and search results)."""
         suffix = "+ann" if self.config.ann is not None else ""
         return (
-            f"segmented-{self._backend_label}"
+            f"segmented-{self._backend}"
             f"x{self.store.num_segments}{suffix}"
         )
 
@@ -286,14 +284,22 @@ class SegmentedSearcher(MicroBatchSearchMixin):
     # scoring
     # ------------------------------------------------------------------
 
-    def _score_segments(
+    def _score_partitions(
         self,
-        relevant: List[int],
         query_hvs: np.ndarray,
         query_masses: np.ndarray,
         query_charges: np.ndarray,
         half_width: float,
     ) -> List[Tuple[np.ndarray, ...]]:
+        # The pruning step: any segment outside this interval holds no
+        # row within ±half_width of *any* query in the batch, so it can
+        # contribute neither candidates nor counts.
+        relevant = self.store.segments_for_range(
+            float(query_masses.min()) - half_width,
+            float(query_masses.max()) + half_width,
+        )
+        if not relevant:
+            return []
         # Open in the caller thread under _open_lock (arena creation
         # must never race); score concurrently.
         scorers = [self._scorer(segment_id) for segment_id in relevant]
@@ -345,67 +351,3 @@ class SegmentedSearcher(MicroBatchSearchMixin):
                         queries=len(query_masses),
                     )
         return [scored for _wall, scored in timed]
-
-    def _run_pass(
-        self,
-        pairs: Sequence[Tuple[Spectrum, np.ndarray]],
-        mode: str,
-    ) -> List[Optional[PSM]]:
-        """One windowed scoring pass over already-encoded queries."""
-        query_hvs = np.stack([hv for _, hv in pairs])
-        query_masses = np.array([q.neutral_mass for q, _ in pairs])
-        query_charges = np.array(
-            [q.precursor_charge for q, _ in pairs], dtype=np.int64
-        )
-        half_width = (
-            self.windows.standard_tolerance_da
-            if mode == "standard"
-            else self.windows.open_window_da
-        )
-        # The pruning step: any segment outside this interval holds no
-        # row within ±half_width of *any* query in the batch, so it can
-        # contribute neither candidates nor counts.
-        lo = float(query_masses.min()) - half_width
-        hi = float(query_masses.max()) + half_width
-        relevant = self.store.segments_for_range(lo, hi)
-        if not relevant:
-            return [None] * len(pairs)
-        per_segment = self._score_segments(
-            relevant, query_hvs, query_masses, query_charges, half_width
-        )
-        if self.ann_stats is not None:
-            for scored in per_segment:
-                self.ann_stats.record_batch(
-                    scored[4], int(scored[0].sum()), int(scored[5][0])
-                )
-        counts = np.stack([scored[0] for scored in per_segment])
-        scores = np.stack([scored[1] for scored in per_segment])
-        masses = np.stack([scored[2] for scored in per_segment])
-        positions = np.stack([scored[3] for scored in per_segment])
-        totals = counts.sum(axis=0)
-        # Same exact winner rule as every other engine: max score, ties
-        # to lowest reference mass, then lowest (global) library position.
-        winner = np.lexsort((positions, masses, -scores), axis=0)[0]
-
-        results: List[Optional[PSM]] = []
-        for column, (query, _hv) in enumerate(pairs):
-            if totals[column] == 0 or totals[column] < self.config.min_candidates:
-                results.append(None)
-                continue
-            row = int(winner[column])
-            reference = self._reference(int(positions[row, column]))
-            results.append(
-                PSM(
-                    query_id=query.identifier,
-                    reference_id=reference.identifier,
-                    peptide_key=reference.peptide_key(),
-                    score=float(scores[row, column]),
-                    is_decoy=reference.is_decoy,
-                    precursor_mass_difference=query.neutral_mass
-                    - reference.neutral_mass,
-                    mode=mode,
-                    reference_mass=float(reference.neutral_mass),
-                    library_position=int(positions[row, column]),
-                )
-            )
-        return results

@@ -1,9 +1,10 @@
-"""Tests for the batched searcher and the write-verify loop."""
+"""Tests for the single-shard batched search schedule and write-verify."""
 
 import numpy as np
 import pytest
 
-from repro.oms.batch import BatchedHDOmsSearcher
+from repro.engine import EngineConfig
+from repro.index import LibraryIndex, ShardedSearcher
 from repro.oms.search import DenseBackend, HDOmsSearcher, HDSearchConfig
 from repro.rram.writeverify import (
     WriteVerifyConfig,
@@ -33,18 +34,29 @@ def batch_setup():
         )
     )
     encoder = SpectrumEncoder(space, binning)
-    return workload, encoder
+    index = LibraryIndex.build(
+        workload.references, space_config=space.config, binning=binning
+    )
+    return workload, encoder, index
 
 
-class TestBatchedSearcher:
+def _single_shard(index, config=None):
+    """The in-process single-shard engine: one blocked GEMM per bucket."""
+    return ShardedSearcher(
+        index,
+        config=config,
+        engine=EngineConfig(kind="sharded", num_shards=1, num_workers=0),
+    )
+
+
+class TestSingleShardSearcher:
     def test_identical_psms_to_per_query_path(self, batch_setup):
-        workload, encoder = batch_setup
+        workload, encoder, index = batch_setup
         per_query = HDOmsSearcher(
             encoder, workload.references, backend=DenseBackend()
         ).search(workload.queries)
-        batched = BatchedHDOmsSearcher(
-            encoder, workload.references
-        ).search(workload.queries)
+        with _single_shard(index) as searcher:
+            batched = searcher.search(workload.queries)
         assert len(per_query.psms) == len(batched.psms)
         for a, b in zip(per_query.psms, batched.psms):
             assert a.query_id == b.query_id
@@ -52,41 +64,30 @@ class TestBatchedSearcher:
             assert a.score == b.score
             assert a.is_decoy == b.is_decoy
 
-    def test_standard_mode_matches(self, batch_setup):
-        workload, encoder = batch_setup
+    @pytest.mark.parametrize("mode", ["standard", "cascade"])
+    def test_narrow_window_modes_match(self, batch_setup, mode):
+        workload, encoder, index = batch_setup
+        config = HDSearchConfig(mode=mode)
         per_query = HDOmsSearcher(
-            encoder,
-            workload.references,
-            config=HDSearchConfig(mode="standard"),
+            encoder, workload.references, config=config
         ).search(workload.queries)
-        batched = BatchedHDOmsSearcher(
-            encoder, workload.references, mode="standard"
-        ).search(workload.queries)
-        assert [p.reference_id for p in per_query.psms] == [
-            p.reference_id for p in batched.psms
-        ]
+        with _single_shard(index, config) as searcher:
+            batched = searcher.search(workload.queries)
+        assert batched.psms == per_query.psms
         assert per_query.num_unmatched == batched.num_unmatched
 
-    def test_cascade_mode_rejected(self, batch_setup):
-        workload, encoder = batch_setup
-        with pytest.raises(ValueError, match="batched"):
-            BatchedHDOmsSearcher(encoder, workload.references, mode="cascade")
-
     def test_backend_name(self, batch_setup):
-        workload, encoder = batch_setup
-        result = BatchedHDOmsSearcher(
-            encoder, workload.references
-        ).search(workload.queries[:3])
-        assert result.backend_name == "batched-dense"
+        workload, _encoder, index = batch_setup
+        with _single_shard(index) as searcher:
+            result = searcher.search(workload.queries[:3])
+        assert result.backend_name == "sharded-densex1"
 
     def test_reference_ber_injection(self, batch_setup):
-        workload, encoder = batch_setup
-        clean = BatchedHDOmsSearcher(encoder, workload.references).search(
-            workload.queries[:10]
-        )
-        noisy = BatchedHDOmsSearcher(
-            encoder, workload.references, reference_ber=0.25
-        ).search(workload.queries[:10])
+        workload, _encoder, index = batch_setup
+        with _single_shard(index) as searcher:
+            clean = searcher.search(workload.queries[:10])
+        with _single_shard(index, HDSearchConfig(reference_ber=0.25)) as searcher:
+            noisy = searcher.search(workload.queries[:10])
         assert np.mean(
             [psm.score for psm in noisy.psms]
         ) < np.mean([psm.score for psm in clean.psms])

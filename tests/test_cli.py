@@ -126,7 +126,7 @@ class TestServeParser:
         assert args.max_batch == 32
         assert args.max_wait_ms == 5.0
         assert args.cache_size == 1024
-        assert args.engine == "auto"
+        assert not hasattr(args, "engine")
         assert args.mode == "open"
 
     def test_serve_requires_index(self):
@@ -139,14 +139,12 @@ class TestServeParser:
                 "serve",
                 "--index",
                 "idx.npz",
-                "--engine",
-                "batched",
-                "--mode",
-                "cascade",
+                "--shards",
+                "0",
             ]
         )
         assert code == 2
-        assert "cascade" in capsys.readouterr().err
+        assert "num_shards" in capsys.readouterr().err
 
     def test_serve_reports_missing_index(self, tmp_path, capsys):
         code = main(["serve", "--index", str(tmp_path / "nope.npz")])

@@ -1,8 +1,8 @@
 """Tests for the unified EngineConfig API and its deprecation shims.
 
 Every engine entry point — :class:`ShardedSearcher`,
-:class:`HDOmsSearcher.from_index`, :class:`BatchedHDOmsSearcher`,
-:class:`ServiceConfig` — must accept one :class:`EngineConfig`; the old
+:class:`HDOmsSearcher.from_index`, :class:`ServiceConfig` — must accept
+one :class:`EngineConfig`; the old
 per-entry-point kwargs keep working but warn, and mixing the two styles
 is rejected outright.
 """
@@ -18,7 +18,6 @@ from repro.engine import EngineConfig
 from repro.hdc.spaces import HDSpaceConfig
 from repro.index.library import LibraryIndex
 from repro.index.sharded import ShardedSearcher
-from repro.oms.batch import BatchedHDOmsSearcher
 from repro.oms.search import HDOmsSearcher, HDSearchConfig
 from repro.service.server import ServiceConfig
 
@@ -47,6 +46,7 @@ class TestEngineConfigValidation:
         [
             {"kind": "turbo"},
             {"backend": "sparse"},
+            {"kind": "batched"},
             {"num_shards": 0},
             {"num_workers": -1},
             {"executor": "fork"},
@@ -69,11 +69,9 @@ class TestEngineConfigValidation:
         assert payload["backend"] == "dense"
         assert isinstance(payload["ann"], dict)
 
-    def test_backend_label_for_factory(self):
-        def my_backend():  # pragma: no cover - label only
-            raise NotImplementedError
-
-        assert EngineConfig(backend=my_backend).backend_label == "my_backend"
+    def test_backend_factories_rejected(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            EngineConfig(backend=lambda: None)
 
     def test_build_backend_applies_block_rows(self):
         backend = EngineConfig(backend="packed", score_block_rows=64).build_backend()
@@ -106,7 +104,7 @@ class TestShardedSearcherShims:
 
     def test_engine_kind_mismatch_rejected(self, index):
         with pytest.raises(ValueError, match="cannot host engine kind"):
-            ShardedSearcher(index, engine=EngineConfig(kind="batched"))
+            ShardedSearcher(index, engine=EngineConfig(kind="segmented"))
 
     def test_engine_path_matches_legacy_path(self, index, queries):
         with pytest.warns(DeprecationWarning):
@@ -167,22 +165,14 @@ class TestFromIndexEngine:
                 engine=EngineConfig(ann=AnnConfig(num_tables=4)),
             )
 
-    def test_batched_searcher_accepts_engine(self, index, queries):
-        baseline = BatchedHDOmsSearcher.from_index(index)
-        engined = BatchedHDOmsSearcher.from_index(
-            index, engine=EngineConfig(score_block_rows=16)
-        )
-        assert [_psm_key(p) for p in engined.search(queries).psms] == [
-            _psm_key(p) for p in baseline.search(queries).psms
-        ]
-
-    def test_batched_searcher_engine_ann_conflict(self, index):
-        with pytest.raises(ValueError, match="conflicting ANN"):
-            BatchedHDOmsSearcher.from_index(
-                index,
-                ann=AnnConfig(num_tables=2),
-                engine=EngineConfig(ann=AnnConfig(num_tables=4)),
-            )
+    def test_single_shard_searcher_accepts_block_rows(self, index, queries):
+        baseline = HDOmsSearcher.from_index(index)
+        with ShardedSearcher(
+            index, engine=EngineConfig(kind="sharded", score_block_rows=16)
+        ) as engined:
+            assert [_psm_key(p) for p in engined.search(queries).psms] == [
+                _psm_key(p) for p in baseline.search(queries).psms
+            ]
 
 
 class TestServiceConfigShims:
@@ -228,13 +218,6 @@ class TestServiceConfigShims:
         assert updated.engine_config.ann == ann
         assert updated.with_ann(None).resolved_ann() is None
 
-    def test_batched_constraints_apply_to_resolved_config(self):
-        with pytest.raises(ValueError, match="cascade"):
-            ServiceConfig(
-                mode="cascade",
-                engine_config=EngineConfig(kind="batched"),
-            )
-        with pytest.raises(ValueError, match="batched"):
-            ServiceConfig(
-                engine_config=EngineConfig(kind="batched", num_shards=2)
-            )
+    def test_default_config_accepts_cascade(self):
+        config = ServiceConfig(mode="cascade")
+        assert config.resolved_engine().kind == "auto"

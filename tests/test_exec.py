@@ -47,9 +47,14 @@ NUM_SHARDS = 3
 def _library_arrays(seed: int = 5):
     rng = np.random.default_rng(seed)
     bipolar = rng.choice(np.array([-1, 1], dtype=np.int8), size=(NUM_ROWS, DIM))
-    packed = np.packbits((bipolar > 0).astype(np.uint8), axis=-1)
-    masses = np.sort(rng.uniform(300.0, 1500.0, NUM_ROWS))
+    # Masses come in equal pairs, and every second pair also repeats its
+    # hypervector and charge, so (score, mass) ties reach the position
+    # tie-break.  Pairs never straddle a shard boundary.
+    masses = np.repeat(np.sort(rng.uniform(300.0, 1500.0, NUM_ROWS // 2)), 2)
     charges = rng.integers(2, 4, NUM_ROWS).astype(np.int64)
+    bipolar[3::4] = bipolar[2::4]
+    charges[3::4] = charges[2::4]
+    packed = np.packbits((bipolar > 0).astype(np.uint8), axis=-1)
     return bipolar, packed, masses, charges
 
 
@@ -209,11 +214,14 @@ class TestPipelineMap:
 # ----------------------------------------------------------------------
 
 
-def _make_setup(arrays, *, backend, ann=None, ann_provenance=None, block=None):
+def _make_setup(
+    arrays, *, backend, ann=None, ann_provenance=None, block=None,
+    charge_aware=True,
+):
     return {
         "dim": DIM,
         "backend": backend,
-        "charge_aware": True,
+        "charge_aware": charge_aware,
         "bounds": _bounds(NUM_ROWS, NUM_SHARDS),
         "ann": ann,
         "ann_provenance": ann_provenance,
@@ -239,10 +247,11 @@ def parity_env():
     arena = SharedShardArena.create(arrays)
 
     envs = {}
-    for label, backend, ann_cfg, prov, block in [
-        ("dense", "dense", None, None, None),
-        ("packed-blocked", "packed", None, None, 5),
-        ("dense-ann", "dense", ann, tuple(provenance), None),
+    for label, backend, ann_cfg, prov, block, charge_aware in [
+        ("dense", "dense", None, None, None, True),
+        ("packed-blocked", "packed", None, None, 5, True),
+        ("dense-ann", "dense", ann, tuple(provenance), None, True),
+        ("dense-blocked-chargeless", "dense", None, None, 7, False),
     ]:
         setup = dict(
             _make_setup(
@@ -251,6 +260,7 @@ def parity_env():
                 ann=ann_cfg,
                 ann_provenance=prov,
                 block=block,
+                charge_aware=charge_aware,
             ),
             spec=arena.spec(),
         )
@@ -261,21 +271,58 @@ def parity_env():
             for shard_id in range(NUM_SHARDS)
         ]
         envs[label] = (process, thread, serial)
-    yield envs, masses
+    yield envs, masses, charges
     for process, thread, _ in envs.values():
         process.close(timeout=5.0)
         thread.close(timeout=5.0)
     arena.close()
 
 
-@settings(max_examples=20, deadline=None)
+def _oracle_winners(query_hvs, query_masses, query_charges, half_width,
+                    bounds, charge_aware):
+    """Brute-force ``(counts, scores, masses, positions)`` for one shard.
+
+    Every row of the shard inside the query's precursor window (same
+    charge when charge-aware) is scored with an integer dot product and
+    the winner is the first of ``lexsort((position, mass, -score))``.
+    """
+    bipolar, _, masses, charges = _library_arrays()
+    start, stop = bounds
+    positions = np.arange(start, stop)
+    counts, scores, best_masses, best_positions = [], [], [], []
+    for hv, mass, charge in zip(query_hvs, query_masses, query_charges):
+        inside = (masses[start:stop] >= mass - half_width) & (
+            masses[start:stop] <= mass + half_width
+        )
+        if charge_aware:
+            inside &= charges[start:stop] == charge
+        rows = positions[inside]
+        counts.append(len(rows))
+        if len(rows) == 0:
+            scores.append(-np.inf)
+            best_masses.append(np.inf)
+            best_positions.append(-1)
+            continue
+        row_scores = bipolar[rows].astype(np.int64) @ hv.astype(np.int64)
+        best = np.lexsort((rows, masses[rows], -row_scores))[0]
+        scores.append(float(row_scores[best]))
+        best_masses.append(masses[rows[best]])
+        best_positions.append(rows[best])
+    return counts, scores, best_masses, best_positions
+
+
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_three_way_scores_bit_identical(parity_env, data):
-    envs, masses = parity_env
+    envs, masses, charges = parity_env
     label = data.draw(
-        st.sampled_from(["dense", "packed-blocked", "dense-ann"])
+        st.sampled_from(
+            ["dense", "packed-blocked", "dense-ann", "dense-blocked-chargeless"]
+        )
     )
-    num_queries = data.draw(st.integers(1, 5))
+    # Up to 40 queries: the batch's union window spans several blocks
+    # and both charge buckets.
+    num_queries = data.draw(st.integers(1, 40))
     seed = data.draw(st.integers(0, 2**31 - 1))
     # Huge half-width produces full-coverage windows (the backend fast
     # path); tiny ones produce empty/sparse windows.
@@ -284,8 +331,20 @@ def test_three_way_scores_bit_identical(parity_env, data):
     query_hvs = rng.choice(
         np.array([-1, 1], dtype=np.int8), size=(num_queries, DIM)
     )
-    query_masses = rng.uniform(float(masses[0]), float(masses[-1]), num_queries)
-    query_charges = rng.integers(2, 4, num_queries).astype(np.int64)
+    # Half the queries sit exactly on a library mass (and some copy a
+    # library row's hypervector), so narrow windows hit the ties.
+    picks = rng.integers(0, NUM_ROWS, num_queries)
+    on_library = rng.random(num_queries) < 0.5
+    query_masses = np.where(
+        on_library,
+        masses[picks],
+        rng.uniform(float(masses[0]), float(masses[-1]), num_queries),
+    )
+    bipolar = _library_arrays()[0]
+    query_hvs[on_library] = bipolar[picks[on_library]]
+    query_charges = np.where(
+        on_library, charges[picks], rng.integers(2, 4, num_queries)
+    ).astype(np.int64)
 
     tasks = [
         (shard_id, query_hvs, query_masses, query_charges, half_width)
@@ -305,12 +364,22 @@ def test_three_way_scores_bit_identical(parity_env, data):
         for column in range(2, 8):
             np.testing.assert_array_equal(result_p[column], result_s[column])
             np.testing.assert_array_equal(result_t[column], result_s[column])
+        oracle = _oracle_winners(
+            query_hvs, query_masses, query_charges, half_width,
+            _bounds(NUM_ROWS, NUM_SHARDS)[result_s[0]],
+            charge_aware=label != "dense-blocked-chargeless",
+        )
+        # Window sizes are exact even under ANN; the winner only off it.
+        np.testing.assert_array_equal(result_s[2], oracle[0])
+        if label != "dense-ann":
+            for column, expected in zip(range(3, 6), oracle[1:]):
+                np.testing.assert_array_equal(result_s[column], expected)
 
 
 def test_full_coverage_window_hits_fast_path(parity_env):
     """half_width=1e9 covers every row; parity already asserted above —
     this pins that the window really is full-coverage (fast path)."""
-    envs, masses = parity_env
+    envs, masses, _ = parity_env
     _, thread, _ = envs["dense"]
     query_hvs = np.ones((2, DIM), dtype=np.int8)
     query_masses = np.array([masses[0], masses[-1]])

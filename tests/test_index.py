@@ -14,10 +14,14 @@ from repro.index import (
 from repro.ms.preprocessing import PreprocessingConfig
 from repro.ms.synthetic import WorkloadConfig, build_workload
 from repro.ms.vectorize import BinningConfig
-from repro.oms.batch import BatchedHDOmsSearcher
+from repro.engine import EngineConfig
 from repro.oms.candidates import WindowConfig
 from repro.oms.pipeline import OmsPipeline, PipelineConfig
 from repro.oms.search import HDOmsSearcher, HDSearchConfig, PackedBackend
+
+
+#: The in-process single-shard engine the service runs by default.
+SINGLE_SHARD = EngineConfig(kind="sharded", num_shards=1, num_workers=0)
 
 
 @pytest.fixture(scope="module")
@@ -201,24 +205,25 @@ class TestFromIndex:
         )
         assert result.psms == expected.psms
 
-    def test_batched_searcher_identical(self, index, workload, encoder):
-        expected = BatchedHDOmsSearcher(encoder, workload.references).search(
+    def test_single_shard_in_process_identical(self, index, workload, encoder):
+        expected = HDOmsSearcher(encoder, workload.references).search(
             workload.queries
         )
-        result = BatchedHDOmsSearcher.from_index(index).search(workload.queries)
+        with ShardedSearcher(index, engine=SINGLE_SHARD) as searcher:
+            result = searcher.search(workload.queries)
         assert result.psms == expected.psms
 
     def test_charge_agnostic_windows_identical(self, index, workload, encoder):
-        # Regression: charge_aware=False used to crash the batched
-        # searcher (queries keyed to bucket 0, references to real charge).
+        # Regression: charge_aware=False once crashed a bucketed scorer
+        # (queries keyed to bucket 0, references to real charge).
         windows = WindowConfig(charge_aware=False)
         expected = HDOmsSearcher(
             encoder, workload.references, windows=windows
         ).search(workload.queries)
-        batched = BatchedHDOmsSearcher.from_index(
-            index, windows=windows
-        ).search(workload.queries)
-        assert batched.psms == expected.psms
+        with ShardedSearcher(
+            index, windows=windows, engine=SINGLE_SHARD
+        ) as single:
+            assert single.search(workload.queries).psms == expected.psms
         sharded = ShardedSearcher(
             index, num_shards=2, windows=windows, num_workers=0
         ).search(workload.queries)

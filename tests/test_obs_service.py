@@ -95,7 +95,7 @@ class TestSchedulerSpans:
             "scheduler.batch",
             "engine.search",
             "encode.batch",
-            "score.dense",
+            "shard.fanout",
         ):
             assert stage in spans, f"missing {stage} in {sorted(spans)}"
         root = spans["service.search"][0]
@@ -115,7 +115,7 @@ class TestSchedulerSpans:
         engine = spans["engine.search"][0]
         assert engine.parent_id == batch.span_id
         assert spans["encode.batch"][0].parent_id == engine.span_id
-        assert spans["score.dense"][0].parent_id == engine.span_id
+        assert spans["shard.fanout"][0].parent_id == engine.span_id
         # The root span covers its children's durations.
         assert root.duration >= spans["service.await_batch"][0].duration
         assert batch.duration >= engine.duration >= spans["encode.batch"][0].duration
@@ -296,7 +296,7 @@ class TestRequestIdRoundTrip:
             "scheduler.batch",
             "engine.search",
             "encode.batch",
-            "score.dense",
+            "shard.fanout",
             "service.serialize",
         } <= names
         # The filtered export only contains this request's spans.

@@ -485,7 +485,8 @@ class TestSearchService:
         with make_service(index_path, num_workers=2) as service:
             assert service.engine_name.startswith("sharded")
         with make_service(index_path) as service:
-            assert service.engine_name == "batched-dense"
+            assert service.engine_name == "sharded-densex1"
+            assert service.stats()["engine"]["executor"] == "serial"
 
     def test_search_many_aligns_and_coalesces(
         self, index_path, workload, baseline
@@ -564,11 +565,7 @@ class TestSearchService:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"engine": "batched", "mode": "cascade"},
-            {"engine": "batched", "backend": "packed"},
-            {"engine": "batched", "num_shards": 2},
-            {"engine": "batched", "num_workers": 2},
-            {"engine": "batched", "num_workers": None},
+            {"engine": "batched"},
             {"engine": "warp-drive"},
             {"mode": "sideways"},
             {"num_workers": -1},

@@ -426,7 +426,7 @@ class TestSegmentedSearcherValidation:
             binning=binning,
         )
         with pytest.raises(ValueError, match="cannot host engine kind"):
-            SegmentedSearcher(store, engine=EngineConfig(kind="batched"))
+            SegmentedSearcher(store, engine=EngineConfig(kind="sharded"))
         store.close()
 
     def test_rejects_reference_ber(
